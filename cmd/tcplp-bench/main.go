@@ -68,13 +68,22 @@ func main() {
 		jrny     = flag.Bool("journey", false, "reconstruct per-reading packet journeys and attach latency attribution to flow results (scenario runs)")
 		jrnyOut  = flag.String("journey-out", "", "write per-reading span trees as Chrome trace events to this file (Perfetto-loadable; implies -journey)")
 		metrIntv = flag.String("metrics-interval", "", "sample per-layer metrics into -events-out at this period (e.g. 10s)")
-		stallWin = flag.String("flight-stall", "4s", "flight-recorder stall window (0 disables the stall checker)")
-		delivThr = flag.Float64("flight-threshold", 0.5, "flight-recorder end-of-run delivery-ratio dump threshold (0 disables)")
+		stallWin = flag.String("flight-stall", "4s", "attach the flight recorder with this stall window (0 disables the stall checker; scenario runs)")
+		delivThr = flag.Float64("flight-threshold", 0.5, "attach the flight recorder with this end-of-run delivery-ratio dump threshold (0 disables; scenario runs)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after GC) to this file")
 		phyWork  = flag.Int("phy-workers", -1, "default PHY fan-out worker bound: 0 serial, N>0 parallel, -1 keeps the built-in default; specs with phy_workers set keep their own value")
 	)
 	flag.Parse()
+	// The flight recorder is attached only on request: its stall checker
+	// schedules engine events, which would shift a traced run's
+	// Result.Events.
+	flight := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "flight-stall" || f.Name == "flight-threshold" {
+			flight = true
+		}
+	})
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -138,7 +147,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-scenario cannot be combined with -exp/-scale/-markdown; set durations and seeds in the spec file")
 			os.Exit(1)
 		}
-		oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, *metrIntv, *stallWin, *jrny, *jrnyOut, *delivThr)
+		oc, finish := buildObsConfig(*traceOut, *evOut, *evLayers, *evFlows, *metrIntv, *jrny, *jrnyOut, flight, *stallWin, *delivThr)
 		runScenario(*scenFile, *workers, *seeds, *format, *durFlag, *warmFlag, oc)
 		finish()
 		return
@@ -147,8 +156,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-duration/-warmup only apply to -scenario; use -scale for experiments")
 		os.Exit(1)
 	}
-	if *traceOut != "" || *evOut != "" || *metrIntv != "" || *jrny || *jrnyOut != "" {
-		fmt.Fprintln(os.Stderr, "-trace-out/-events-out/-journey/-journey-out/-metrics-interval only apply to -scenario runs")
+	if *traceOut != "" || *evOut != "" || *metrIntv != "" || *jrny || *jrnyOut != "" || flight {
+		fmt.Fprintln(os.Stderr, "-trace-out/-events-out/-journey/-journey-out/-metrics-interval/-flight-* only apply to -scenario runs")
 		os.Exit(1)
 	}
 
@@ -216,13 +225,13 @@ func parseDur(flagName, s string) scenario.Duration {
 
 // buildObsConfig assembles the scenario runner's observability config
 // from the CLI flags; nil when no capture was requested. The flight
-// recorder rides along whenever any capture is on, dumping stalled or
-// low-delivery flow timelines to stderr. The returned finish func
-// flushes deferred writers (the Chrome trace's closing bracket) and
-// must run after the scenario completes.
-func buildObsConfig(traceOut, evOut, evLayers, evFlows, metrIntv, stallWin string, jrny bool, jrnyOut string, delivThr float64) (*scenario.ObsConfig, func()) {
+// recorder is attached only when flight is set (a -flight-* flag was
+// given), dumping stalled or low-delivery flow timelines to stderr. The
+// returned finish func flushes deferred writers (the Chrome trace's
+// closing bracket) and must run after the scenario completes.
+func buildObsConfig(traceOut, evOut, evLayers, evFlows, metrIntv string, jrny bool, jrnyOut string, flight bool, stallWin string, delivThr float64) (*scenario.ObsConfig, func()) {
 	finish := func() {}
-	if traceOut == "" && evOut == "" && !jrny && jrnyOut == "" {
+	if traceOut == "" && evOut == "" && !jrny && jrnyOut == "" && !flight {
 		if metrIntv != "" {
 			fmt.Fprintln(os.Stderr, "-metrics-interval needs -events-out to write the samples to")
 			os.Exit(1)
@@ -284,14 +293,16 @@ func buildObsConfig(traceOut, evOut, evLayers, evFlows, metrIntv, stallWin strin
 		}
 		oc.Pcap = pw
 	}
-	fc := &scenario.FlightConfig{
-		DeliveryThreshold: delivThr,
-		Out:               obs.NewDumpWriter(os.Stderr),
+	if flight {
+		fc := &scenario.FlightConfig{
+			DeliveryThreshold: delivThr,
+			Out:               obs.NewDumpWriter(os.Stderr),
+		}
+		if stallWin != "" && stallWin != "0" {
+			fc.StallWindow = parseDur("flight-stall", stallWin).D()
+		}
+		oc.Flight = fc
 	}
-	if stallWin != "" && stallWin != "0" {
-		fc.StallWindow = parseDur("flight-stall", stallWin).D()
-	}
-	oc.Flight = fc
 	return oc, finish
 }
 

@@ -25,19 +25,6 @@ import (
 // than imported; a test pins the two together.)
 const ReadingSize = 82
 
-// Recorder is an obs.Sink that buffers every event in memory for
-// post-run analysis. One Recorder serves one run: the engine is
-// single-threaded, so Record needs no locking.
-type Recorder struct {
-	Events []obs.Event
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Record implements obs.Sink.
-func (r *Recorder) Record(e obs.Event) { r.Events = append(r.Events, e) }
-
 // State is a reading's terminal classification.
 type State int
 
@@ -182,7 +169,17 @@ type pidCost struct {
 	dropT               sim.Time
 }
 
-type analysis struct {
+// Recorder is an obs.Sink that folds each event into per-reading
+// analysis state as it arrives: the readings, each source node's
+// journey segment and datagram records, and each journey packet's
+// MAC/PHY costs. Events the analyzer does not read are dropped on the
+// spot, so what it retains grows with the readings and journey-tagged
+// packets, not with the run's event count. Readings are resolved only
+// at run end (Report): a delivered packet's retry and air costs can
+// still grow afterwards, when the MAC retries a frame whose ACK was
+// lost. One Recorder serves one run: the engine is single-threaded, so
+// Record needs no locking.
+type Recorder struct {
 	readings map[rkey]*Reading
 	order    []rkey
 	segs     map[int][]segTx  // by source node
@@ -190,35 +187,46 @@ type analysis struct {
 	pids     map[int64]*pidCost
 }
 
-func (a *analysis) pid(j int64) *pidCost {
-	pc := a.pids[j]
-	if pc == nil {
-		pc = &pidCost{}
-		a.pids[j] = pc
-	}
-	return pc
-}
-
-func (a *analysis) reading(e obs.Event) *Reading {
-	return a.readings[rkey{e.Node, uint32(e.A)}]
-}
-
-// Analyze reconstructs every reading's journey from a run's recorded
-// events (emission order — the recorder preserves it).
-func Analyze(events []obs.Event) *Report {
-	a := &analysis{
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder {
+	return &Recorder{
 		readings: map[rkey]*Reading{},
 		segs:     map[int][]segTx{},
 		datas:    map[int][]dataTx{},
 		pids:     map[int64]*pidCost{},
 	}
-	for _, e := range events {
-		a.ingest(e)
+}
+
+func (rec *Recorder) pid(j int64) *pidCost {
+	pc := rec.pids[j]
+	if pc == nil {
+		pc = &pidCost{}
+		rec.pids[j] = pc
 	}
+	return pc
+}
+
+func (rec *Recorder) reading(e obs.Event) *Reading {
+	return rec.readings[rkey{e.Node, uint32(e.A)}]
+}
+
+// Analyze reconstructs every reading's journey from a run's events in
+// emission order, replaying them through a Recorder.
+func Analyze(events []obs.Event) *Report {
+	rec := NewRecorder()
+	for _, e := range events {
+		rec.Record(e)
+	}
+	return rec.Report()
+}
+
+// Report resolves every reading recorded so far and reconstructs the
+// run's journeys. Call it once, when the run has ended.
+func (rec *Recorder) Report() *Report {
 	rep := &Report{Flows: map[int]*FlowReport{}}
-	for _, k := range a.order {
-		r := a.readings[k]
-		a.resolve(r)
+	for _, k := range rec.order {
+		r := rec.readings[k]
+		rec.resolve(r)
 		rep.Readings = append(rep.Readings, r)
 		rep.addToFlow(r)
 	}
@@ -226,63 +234,64 @@ func Analyze(events []obs.Event) *Report {
 	return rep
 }
 
-func (a *analysis) ingest(e obs.Event) {
+// Record implements obs.Sink.
+func (rec *Recorder) Record(e obs.Event) {
 	switch e.Kind {
 	case obs.JourneyGen:
 		k := rkey{e.Node, uint32(e.A)}
-		if _, dup := a.readings[k]; dup {
+		if _, dup := rec.readings[k]; dup {
 			return
 		}
-		a.readings[k] = &Reading{Node: e.Node, Seq: uint32(e.A), Gen: e.T}
-		a.order = append(a.order, k)
+		rec.readings[k] = &Reading{Node: e.Node, Seq: uint32(e.A), Gen: e.T}
+		rec.order = append(rec.order, k)
 	case obs.JourneyEnq:
-		if r := a.reading(e); r != nil {
+		if r := rec.reading(e); r != nil {
 			r.Enq, r.enqIdx, r.hasEnq = e.T, e.B, true
 		}
 	case obs.JourneySeg:
-		a.segs[e.Node] = append(a.segs[e.Node], segTx{t: e.T, jid: e.J, off: e.A, ln: int64(e.Len)})
+		rec.segs[e.Node] = append(rec.segs[e.Node], segTx{t: e.T, jid: e.J, off: e.A, ln: int64(e.Len)})
 	case obs.JourneyData:
-		a.datas[e.Node] = append(a.datas[e.Node],
+		rec.datas[e.Node] = append(rec.datas[e.Node],
 			dataTx{t: e.T, jid: e.J, first: uint32(e.A), count: e.B, reliable: e.Len != 0})
 	case obs.JourneyMesh:
-		if r := a.reading(e); r != nil {
+		if r := rec.reading(e); r != nil {
 			r.MeshDone, r.hasMesh = e.T, true
 		}
 	case obs.JourneyWanEnq:
-		if r := a.reading(e); r != nil {
+		if r := rec.reading(e); r != nil {
 			r.WanEnq, r.hasWan = e.T, true
 		}
 	case obs.JourneyDeliver:
-		if r := a.reading(e); r != nil && !r.hasDeliver {
+		if r := rec.reading(e); r != nil && !r.hasDeliver {
 			r.End, r.hasDeliver = e.T, true
 		}
 	case obs.JourneyLoss:
-		if r := a.reading(e); r != nil && !r.hasLoss {
+		if r := rec.reading(e); r != nil && !r.hasLoss {
 			r.lossT, r.Cause, r.hasLoss = e.T, e.Cause, true
 		}
 	case obs.MacBackoff:
 		if e.J != 0 {
 			// B is the drawn slot count; the MAC waits slots·unit + CCA.
-			a.pid(e.J).backoff += sim.Duration(e.B)*phy.UnitBackoff + phy.CCATime
+			rec.pid(e.J).backoff += sim.Duration(e.B)*phy.UnitBackoff + phy.CCATime
 		}
 	case obs.MacRetry:
 		if e.J != 0 {
-			a.pid(e.J).retry += sim.Duration(e.B)
+			rec.pid(e.J).retry += sim.Duration(e.B)
 		}
 	case obs.PhyTx:
 		if e.J != 0 {
-			a.pid(e.J).air += sim.Duration(e.A)
+			rec.pid(e.J).air += sim.Duration(e.A)
 		}
 	case obs.CoAPRtx:
 		if e.J != 0 {
-			pc := a.pid(e.J)
+			pc := rec.pid(e.J)
 			pc.rtx = append(pc.rtx, e.T)
 		}
 	case obs.QueueDrop, obs.MacDrop, obs.FragTimeout, obs.IPDrop:
 		// Terminal mesh drops end an unreliable packet's journey. (PHY
 		// losses are not terminal — link retries recover them.)
 		if e.J != 0 {
-			pc := a.pid(e.J)
+			pc := rec.pid(e.J)
 			if pc.drop == obs.CauseNone {
 				pc.drop, pc.dropT = e.Cause, e.T
 			}
@@ -292,8 +301,8 @@ func (a *analysis) ingest(e obs.Event) {
 
 // coveringData finds the datagram that carried r (readings leave the
 // queue in whole datagrams, so there is at most one).
-func (a *analysis) coveringData(r *Reading) *dataTx {
-	ds := a.datas[r.Node]
+func (rec *Recorder) coveringData(r *Reading) *dataTx {
+	ds := rec.datas[r.Node]
 	for i := len(ds) - 1; i >= 0; i-- {
 		d := &ds[i]
 		if d.first <= r.Seq && int64(r.Seq-d.first) < d.count {
@@ -303,11 +312,11 @@ func (a *analysis) coveringData(r *Reading) *dataTx {
 	return nil
 }
 
-func (a *analysis) resolve(r *Reading) {
+func (rec *Recorder) resolve(r *Reading) {
 	switch {
 	case r.hasDeliver:
 		r.State = StateDelivered
-		a.attribute(r)
+		rec.attribute(r)
 	case r.hasLoss:
 		r.State = StateLost
 		r.End = r.lossT
@@ -316,8 +325,8 @@ func (a *analysis) resolve(r *Reading) {
 		// packet: adopt the packet's terminal mesh drop cause. Reliable
 		// carriers (TCP, CoAP CON) retransmit past packet drops, so for
 		// them only an explicit JourneyLoss is terminal.
-		if d := a.coveringData(r); d != nil && !d.reliable {
-			if pc := a.pids[d.jid]; pc != nil && pc.drop != obs.CauseNone {
+		if d := rec.coveringData(r); d != nil && !d.reliable {
+			if pc := rec.pids[d.jid]; pc != nil && pc.drop != obs.CauseNone {
 				r.State = StateLost
 				r.Cause, r.End, r.PID = pc.drop, pc.dropT, d.jid
 				return
@@ -343,7 +352,7 @@ func (r *Reading) stage() string {
 }
 
 // attribute computes a delivered reading's telescoping buckets.
-func (a *analysis) attribute(r *Reading) {
+func (rec *Recorder) attribute(r *Reading) {
 	if !r.hasEnq {
 		r.Enq = r.Gen // defensive: a delivered reading was accepted
 	}
@@ -351,7 +360,7 @@ func (a *analysis) attribute(r *Reading) {
 	if r.hasMesh {
 		meshRef = r.MeshDone
 	}
-	firstTx, sendTx, pid := a.locateTx(r, meshRef)
+	firstTx, sendTx, pid := rec.locateTx(r, meshRef)
 	if pid == 0 {
 		// Never saw a transmission (shouldn't happen for a delivered
 		// reading); collapse the transmit stages to zero.
@@ -374,7 +383,7 @@ func (a *analysis) attribute(r *Reading) {
 		}
 	}
 	b.Mesh = meshEnd.Sub(sendTx)
-	if pc := a.pids[pid]; pc != nil {
+	if pc := rec.pids[pid]; pc != nil {
 		b.Backoff, b.Retry, b.Air = pc.backoff, pc.retry, pc.air
 	}
 	b.Forward = b.Mesh - b.Backoff - b.Retry - b.Air
@@ -390,11 +399,11 @@ func (a *analysis) attribute(r *Reading) {
 // before the mesh-egress reference. Datagram readings use their
 // covering JourneyData (CoAP retransmissions refine the delivering
 // time via the exchange's CoAPRtx records).
-func (a *analysis) locateTx(r *Reading, meshRef sim.Time) (firstTx, sendTx sim.Time, pid int64) {
+func (rec *Recorder) locateTx(r *Reading, meshRef sim.Time) (firstTx, sendTx sim.Time, pid int64) {
 	lastByte := r.enqIdx*ReadingSize + ReadingSize - 1
 	var found bool
-	for i := range a.segs[r.Node] {
-		s := &a.segs[r.Node][i]
+	for i := range rec.segs[r.Node] {
+		s := &rec.segs[r.Node][i]
 		if s.off <= lastByte && lastByte < s.off+s.ln {
 			if !found {
 				firstTx, found = s.t, true
@@ -407,9 +416,9 @@ func (a *analysis) locateTx(r *Reading, meshRef sim.Time) (firstTx, sendTx sim.T
 	if found {
 		return firstTx, sendTx, pid
 	}
-	if d := a.coveringData(r); d != nil {
+	if d := rec.coveringData(r); d != nil {
 		firstTx, sendTx, pid = d.t, d.t, d.jid
-		if pc := a.pids[d.jid]; pc != nil {
+		if pc := rec.pids[d.jid]; pc != nil {
 			for _, t := range pc.rtx {
 				if t <= meshRef {
 					sendTx = t

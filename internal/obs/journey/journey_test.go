@@ -229,6 +229,34 @@ func TestWaterfallRenders(t *testing.T) {
 	}
 }
 
+// TestRecorderRetainsNoIgnoredEvents pins the streaming contract: events
+// the analyzer does not read cost no allocation and leave no state, so
+// a recorder's memory follows the readings, not the run's event count.
+func TestRecorderRetainsNoIgnoredEvents(t *testing.T) {
+	ignored := []obs.Event{
+		ev(10, obs.PhyCollision, 1, 0, 2, 0, 0, obs.CauseCollision),
+		ev(20, obs.PhyRxDrop, 2, 0, 1, 0, 0, obs.CausePER),
+		ev(30, obs.TCPCwnd, 3, 0, 4, 8, 0, 0),
+		ev(40, obs.GwAdmit, 4, 0, 1, 0, 0, 0),
+		ev(50, obs.MacBackoff, 5, 0, 3, 2, 0, 0), // J == 0: untagged
+		ev(60, obs.PhyTx, 6, 0, 4000, 0, 100, 0), // J == 0: untagged
+	}
+	const perRun = 1 << 20 // about 1M events
+	rec := NewRecorder()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < perRun; i++ {
+			rec.Record(ignored[i%len(ignored)])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("recording %d ignored events allocated %.0f times, want 0", perRun, allocs)
+	}
+	if n := len(rec.readings) + len(rec.order) + len(rec.segs) + len(rec.datas) + len(rec.pids); n != 0 {
+		t.Errorf("recorder retained %d entries from ignored events (readings %d, segs %d, datas %d, pids %d)",
+			n, len(rec.readings), len(rec.segs), len(rec.datas), len(rec.pids))
+	}
+}
+
 func BenchmarkAnalyze(b *testing.B) {
 	var events []obs.Event
 	for seq := int64(1); seq <= 200; seq++ {

@@ -48,9 +48,11 @@ type ObsConfig struct {
 	MetricsInterval sim.Duration
 	// Flight enables the per-flow flight recorder.
 	Flight *FlightConfig
-	// Journey records every run's events in memory, reconstructs
-	// per-reading causal span trees, and attaches each telemetry flow's
-	// critical-path latency attribution to its FlowResult.
+	// Journey folds each run's journey events into per-reading state as
+	// they arrive (events the analyzer does not read are not kept),
+	// reconstructs per-reading causal span trees at collect time, and
+	// attaches each telemetry flow's critical-path latency attribution
+	// to its FlowResult.
 	Journey bool
 	// JourneyOut streams each run's span trees as Chrome trace events
 	// (chrome://tracing / Perfetto-loadable). Implies Journey.

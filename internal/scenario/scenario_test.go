@@ -387,6 +387,30 @@ func TestParseSpecsErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecsRejectsUnknownKeys pins strict decoding: a misspelled
+// key is an error that names it, not a silently applied default (here
+// NewReno in place of the intended CUBIC), in both file forms and
+// inside nested blocks.
+func TestParseSpecsRejectsUnknownKeys(t *testing.T) {
+	for _, in := range []string{
+		`{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"varient":"cubic"}]}`,
+		`[{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"varient":"cubic"}]}]`,
+		`{"flows":[{"varient":"cubic"}]}`,
+	} {
+		_, err := ParseSpecs([]byte(in))
+		if err == nil || !strings.Contains(err.Error(), `"varient"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming \"varient\"", in, err)
+		}
+	}
+	good := `{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"variant":"cubic"}]}`
+	if _, err := ParseSpecs([]byte(good)); err != nil {
+		t.Fatalf("correctly spelled spec rejected: %v", err)
+	}
+	if _, err := ParseSpecs([]byte(good + "}")); err == nil {
+		t.Fatal("trailing data after the spec accepted")
+	}
+}
+
 // TestZeroDurationsHonored pins the zero-vs-unset rules: an explicit
 // zero warmup measures from t=0 and a single explicit onoff period is
 // honored; defaults only replace meaningless zeros.
@@ -792,8 +816,9 @@ func TestExampleSpecRuns(t *testing.T) {
 }
 
 // TestAllExampleSpecsLoad keeps every checked-in spec loadable: each
-// file under examples/scenarios parses, validates, and expands (CI
-// additionally runs them all at a short duration).
+// file under examples/scenarios parses under strict decoding (no key
+// the spec types do not know), validates, and expands (CI additionally
+// runs them all at a short duration).
 func TestAllExampleSpecsLoad(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "scenarios")
 	files, err := filepath.Glob(filepath.Join(dir, "*.json"))

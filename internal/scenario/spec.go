@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -569,19 +570,20 @@ type Spec struct {
 }
 
 // ParseSpecs decodes a JSON spec file holding either one spec object or
-// an array of specs, and validates each. The form is decided by the
-// first byte so a decode error inside an array surfaces as itself, not
-// as a misleading object-decode failure.
+// an array of specs, and validates each. Decoding is strict: a key that
+// names no spec field is an error naming that key. The form is decided
+// by the first byte so a decode error inside an array surfaces as
+// itself, not as a misleading object-decode failure.
 func ParseSpecs(data []byte) ([]*Spec, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	var many []*Spec
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := json.Unmarshal(data, &many); err != nil {
+		if err := decodeStrict(data, &many); err != nil {
 			return nil, fmt.Errorf("scenario: bad spec array: %v", err)
 		}
 	} else {
 		var one Spec
-		if err := json.Unmarshal(data, &one); err != nil {
+		if err := decodeStrict(data, &one); err != nil {
 			return nil, fmt.Errorf("scenario: bad spec: %v", err)
 		}
 		many = []*Spec{&one}
@@ -592,6 +594,21 @@ func ParseSpecs(data []byte) ([]*Spec, error) {
 		}
 	}
 	return many, nil
+}
+
+// decodeStrict decodes exactly one JSON value into v, rejecting keys
+// that match no field (a misspelled "varient" would otherwise run the
+// default silently) and anything after the value.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the top-level value")
+	}
+	return nil
 }
 
 // sweepOpt is one axis value prepared for expansion: its printable

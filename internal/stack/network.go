@@ -164,7 +164,6 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 		}
 		n.TCP = tcplp.NewStack(eng, n.Addr, net.Opt.TCP)
 		n.TCP.Output = n.SendPacket
-		n.TCP.PoolEncode = true // SendPacket consumes payloads synchronously
 		n.TCP.Trace, n.TCP.TraceNode = opt.Trace, i
 		n.UDP = udp.NewStack(n.Addr)
 		n.UDP.Output = n.SendPacket
@@ -268,7 +267,6 @@ func (net *Network) AttachHost() *Node {
 	hostCfg.RecvBufSize = 64 * 1024
 	host.TCP = tcplp.NewStack(net.Eng, host.Addr, hostCfg)
 	host.TCP.Output = host.SendPacket
-	host.TCP.PoolEncode = true
 	host.TCP.Trace, host.TCP.TraceNode = net.Opt.Trace, net.hostID
 	host.reasm.Trace, host.reasm.Node = net.Opt.Trace, net.hostID
 	host.UDP = udp.NewStack(host.Addr)
@@ -306,7 +304,6 @@ func (net *Network) Border() *Node { return net.Nodes[net.borderID] }
 func (n *Node) SetTCPConfig(cfg tcplp.Config) {
 	n.TCP = tcplp.NewStack(n.Net.Eng, n.Addr, cfg)
 	n.TCP.Output = n.SendPacket
-	n.TCP.PoolEncode = true
 	n.TCP.Trace, n.TCP.TraceNode = n.Net.Opt.Trace, n.ID
 }
 
@@ -350,7 +347,7 @@ func connectWire(border, host *Node, delay sim.Duration) {
 func (w *wireEnd) send(pkt *ip6.Packet) {
 	// The wire holds the packet until the peer takes delivery; copy the
 	// payload so the sending stack may recycle its encode buffer the
-	// moment the synchronous transmit path returns (tcplp.PoolEncode).
+	// moment the synchronous transmit path returns (tcplp.Stack.Output).
 	cp := *pkt
 	cp.Payload = append([]byte(nil), pkt.Payload...)
 	w.eng.Schedule(w.delay, func() { w.peer.wireReceive(&cp) })

@@ -38,6 +38,11 @@ func newTestLink(seed int64, delay sim.Duration, cfg Config) *testLink {
 }
 
 func (l *testLink) forward(pkt *ip6.Packet, to *Stack) {
+	// The link holds the packet past Output's return, when the sender
+	// recycles the payload buffer: deliver a copy.
+	cp := *pkt
+	cp.Payload = append([]byte(nil), pkt.Payload...)
+	pkt = &cp
 	if l.Drop != nil && l.Drop(pkt) {
 		l.dropped++
 		return

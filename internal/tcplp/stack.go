@@ -47,17 +47,13 @@ type Stack struct {
 	cfg  Config
 
 	// Output transmits an IPv6 packet toward its destination; the node
-	// wiring (internal/stack) supplies it.
-	Output func(pkt *ip6.Packet)
-
-	// PoolEncode recycles segment wire buffers through a stack-local
-	// free list instead of allocating one per segment. Only safe when
-	// Output consumes the packet's payload before returning — the node
-	// transmit path does (fragmentation, local decode, and the wire all
-	// copy); test shims that schedule delayed delivery of the same
-	// packet must leave this off (the default).
-	PoolEncode bool
-	encFree    [][]byte
+	// wiring (internal/stack) supplies it. The packet's payload is a
+	// recycled encode buffer, valid only until Output returns: the node
+	// transmit path consumes it synchronously (fragmentation, local
+	// decode, and the wire all copy), and anything that holds the
+	// packet longer must copy the payload.
+	Output  func(pkt *ip6.Packet)
+	encFree [][]byte // free list of segment wire buffers
 
 	// OnExpectingChange fires when the stack starts/stops having any
 	// connection with unacknowledged data — the duty-cycling hint wire
@@ -224,16 +220,11 @@ func (s *Stack) sendRSTFor(src ip6.Addr, seg *Segment) {
 
 // sendSegment wraps a TCP segment in an IPv6 packet and transmits it.
 func (s *Stack) sendSegment(src, dst ip6.Addr, seg *Segment, ecn ip6.ECN) {
-	var payload []byte
-	if s.PoolEncode {
-		var buf []byte
-		if n := len(s.encFree); n > 0 {
-			buf, s.encFree = s.encFree[n-1], s.encFree[:n-1]
-		}
-		payload = seg.AppendEncode(buf, src, dst)
-	} else {
-		payload = seg.Encode(src, dst)
+	var buf []byte
+	if n := len(s.encFree); n > 0 {
+		buf, s.encFree = s.encFree[n-1], s.encFree[:n-1]
 	}
+	payload := seg.AppendEncode(buf, src, dst)
 	pkt := &ip6.Packet{
 		Header: ip6.Header{
 			NextHeader: ip6.ProtoTCP,
@@ -249,9 +240,7 @@ func (s *Stack) sendSegment(src, dst ip6.Addr, seg *Segment, ecn ip6.ECN) {
 	if s.Output != nil {
 		s.Output(pkt)
 	}
-	if s.PoolEncode {
-		s.encFree = append(s.encFree, payload[:0])
-	}
+	s.encFree = append(s.encFree, payload[:0])
 }
 
 func (s *Stack) addConn(key connKey, c *Conn) {

@@ -81,7 +81,9 @@ func TestMSSNegotiation(t *testing.T) {
 					maxSeen = len(seg.Payload)
 				}
 			}
-			eng.Schedule(10*sim.Millisecond, func() { to.Input(pkt) })
+			cp := *pkt // the sender recycles the payload once Output returns
+			cp.Payload = append([]byte(nil), pkt.Payload...)
+			eng.Schedule(10*sim.Millisecond, func() { to.Input(&cp) })
 		}
 	}
 	a.Output = fwd(b)
