@@ -2,6 +2,7 @@ package coap
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -390,5 +391,112 @@ func TestDefaultPolicyRTODither(t *testing.T) {
 		if rto < AckTimeout || rto > 3*sim.Second {
 			t.Fatalf("initial RTO %v outside [2s,3s]", rto)
 		}
+	}
+}
+
+// dedupServer is a server on a bare UDP stack whose ACKs are counted,
+// with a helper that delivers one CON POST straight to it.
+func dedupServer() (srv *Server, handled, acks *int, post func(src ip6.Addr, mid uint16)) {
+	eng := sim.NewEngine(1)
+	sock := udp.NewStack(ip6.AddrFromID(0))
+	handled, acks = new(int), new(int)
+	sock.Output = func(*ip6.Packet) { *acks++ }
+	srv = NewServer(eng, sock, DefaultPort)
+	srv.OnPost = func(ip6.Addr, []byte, *Block1) Code { *handled++; return CodeChanged }
+	post = func(src ip6.Addr, mid uint16) {
+		m := &Message{Type: CON, Code: CodePOST, MessageID: mid, Payload: []byte("r")}
+		srv.onDatagram(src, 40000, m.Encode())
+	}
+	return srv, handled, acks, post
+}
+
+// TestServerDedupWithinExchangeLifetime: a CON retransmission arriving
+// inside the exchange lifetime is answered from the ACK cache and never
+// reaches the handler again.
+func TestServerDedupWithinExchangeLifetime(t *testing.T) {
+	srv, handled, acks, post := dedupServer()
+	src := ip6.AddrFromID(5)
+	post(src, 7)
+	srv.eng.RunUntil(sim.Time(exchangeLifetime - 1))
+	post(src, 7)
+	if *handled != 1 || srv.Stats.Duplicates != 1 || *acks != 2 {
+		t.Fatalf("handled=%d duplicates=%d acks=%d, want 1/1/2", *handled, srv.Stats.Duplicates, *acks)
+	}
+	// Another source reusing the message ID is a different exchange.
+	post(ip6.AddrFromID(6), 7)
+	if *handled != 2 || srv.Stats.Duplicates != 1 {
+		t.Fatalf("other source: handled=%d duplicates=%d", *handled, srv.Stats.Duplicates)
+	}
+}
+
+// TestServerDedupExpiresAfterExchangeLifetime: once the exchange
+// lifetime has passed, the same (source, message ID) is a new request,
+// however few entries the table holds.
+func TestServerDedupExpiresAfterExchangeLifetime(t *testing.T) {
+	srv, handled, _, post := dedupServer()
+	src := ip6.AddrFromID(5)
+	post(src, 7)
+	srv.eng.RunUntil(sim.Time(exchangeLifetime))
+	post(src, 7)
+	if *handled != 2 || srv.Stats.Duplicates != 0 {
+		t.Fatalf("handled=%d duplicates=%d, want the expired ID delivered again", *handled, srv.Stats.Duplicates)
+	}
+	if len(srv.dedup) != 1 || len(srv.dedupOrder) != 1 {
+		t.Fatalf("dedup table %d entries, order %d, want 1 each", len(srv.dedup), len(srv.dedupOrder))
+	}
+}
+
+// TestServerDedupBoundedByLifetime: under a steady POST rate the table
+// holds exactly the requests of the last exchange lifetime.
+func TestServerDedupBoundedByLifetime(t *testing.T) {
+	srv, handled, _, post := dedupServer()
+	const gap = 700 * sim.Millisecond
+	var arrivals []sim.Time
+	for i := 0; i < 1200; i++ {
+		srv.eng.RunUntil(sim.Time(sim.Duration(i) * gap))
+		now := srv.eng.Now()
+		post(ip6.AddrFromID(i%3), uint16(i))
+		arrivals = append(arrivals, now)
+		live := 0
+		for _, at := range arrivals {
+			if now < at.Add(exchangeLifetime) {
+				live++
+			}
+		}
+		if len(srv.dedup) != live || len(srv.dedupOrder) != live {
+			t.Fatalf("t=%v: dedup %d entries, order %d, want the %d of the last %v",
+				now, len(srv.dedup), len(srv.dedupOrder), live, exchangeLifetime)
+		}
+	}
+	if *handled != 1200 || srv.Stats.Duplicates != 0 {
+		t.Fatalf("handled=%d duplicates=%d", *handled, srv.Stats.Duplicates)
+	}
+}
+
+// BenchmarkServerPost times one deduplicated CON POST with the table
+// held at a steady number of live entries: requests arrive lifetime/live
+// apart (rounded up), so each one expires exactly the oldest entry.
+// ns/op should not grow with the table.
+func BenchmarkServerPost(b *testing.B) {
+	for _, live := range []int{256, 16384} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			srv, _, _, post := dedupServer()
+			gap := (exchangeLifetime + sim.Duration(live) - 1) / sim.Duration(live)
+			key := func(i int) (ip6.Addr, uint16) { return ip6.AddrFromID(i >> 16), uint16(i) }
+			for i := 0; i < live; i++ {
+				srv.eng.RunFor(gap)
+				post(key(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := live; i < live+b.N; i++ {
+				srv.eng.RunFor(gap)
+				post(key(i))
+			}
+			b.StopTimer()
+			if len(srv.dedup) != live {
+				b.Fatalf("dedup table holds %d entries, want %d", len(srv.dedup), live)
+			}
+		})
 	}
 }

@@ -9,7 +9,11 @@ import (
 // DefaultPort is the CoAP UDP port.
 const DefaultPort = 5683
 
-// exchangeLifetime bounds message-ID deduplication state.
+// exchangeLifetime is how long the server remembers a confirmable
+// request's message ID (RFC 7252 §4.8.2, EXCHANGE_LIFETIME with the
+// default transmission parameters rounded to 250 s). A retransmission
+// inside it is answered from the cached ACK; the same (source, message
+// ID) after it is a new request.
 const exchangeLifetime = 250 * sim.Second
 
 // ServerStats counts server-side events.
@@ -43,7 +47,13 @@ type Server struct {
 	// response code. block is non-nil for blockwise transfers.
 	OnPost func(src ip6.Addr, payload []byte, block *Block1) Code
 
-	dedup map[dedupKey]dedupEntry
+	// dedup caches the ACK of every confirmable request seen within the
+	// last exchangeLifetime, keyed by (source, message ID). dedupOrder
+	// holds the same keys in arrival order: every entry lives exactly
+	// exchangeLifetime, so arrival order is expiry order and gc pops
+	// expired keys off the front without scanning the map.
+	dedup      map[dedupKey]dedupEntry
+	dedupOrder []dedupKey
 
 	Stats ServerStats
 }
@@ -81,6 +91,7 @@ func (s *Server) onDatagram(src ip6.Addr, srcPort uint16, payload []byte) {
 		}
 		wire := ack.Encode()
 		s.dedup[key] = dedupEntry{ack: wire, expires: s.eng.Now().Add(exchangeLifetime)}
+		s.dedupOrder = append(s.dedupOrder, key)
 		s.sock.Send(src, srcPort, s.port, wire)
 		return
 	}
@@ -103,14 +114,17 @@ func (s *Server) handle(src ip6.Addr, m *Message) Code {
 	return s.OnPost(src, m.Payload, blk)
 }
 
+// gc drops the dedup entries whose exchange lifetime has passed, oldest
+// first. A key is written only after gc has removed any earlier entry
+// for it, so each key appears in dedupOrder once.
 func (s *Server) gc() {
 	now := s.eng.Now()
-	if len(s.dedup) < 256 {
-		return
-	}
-	for k, e := range s.dedup {
-		if now >= e.expires {
-			delete(s.dedup, k)
+	for len(s.dedupOrder) > 0 {
+		k := s.dedupOrder[0]
+		if now < s.dedup[k].expires {
+			return
 		}
+		delete(s.dedup, k)
+		s.dedupOrder = s.dedupOrder[1:]
 	}
 }

@@ -83,9 +83,12 @@ type Stats struct {
 }
 
 type txJob struct {
-	frame    *phy.Frame
-	wire     []byte // encoded once, when loaded into the frame buffer
-	done     func(TxStatus)
+	frame phy.Frame
+	wire  []byte // encoded once, when loaded into the frame buffer
+	done  func(TxStatus)
+	// pollDone, set on DataRequest polls instead of done, also receives
+	// the frame-pending bit of the ACK that completed the poll.
+	pollDone func(TxStatus, bool)
 	attempts int
 	nb, be   int
 	indirect bool
@@ -190,10 +193,14 @@ func New(eng *sim.Engine, radio *phy.Radio, params Params) *Mac {
 	return m
 }
 
-// newJob builds a transmit job with its scheduler callbacks, which are
-// shared by every load, backoff step, and retry of the job's lifetime.
-func (m *Mac) newJob(f *phy.Frame, done func(TxStatus)) *txJob {
-	job := &txJob{frame: f, done: done}
+// newJob builds a transmit job for a frame numbered with the next
+// sequence number, with its scheduler callbacks, which are shared by
+// every load, backoff step, and retry of the job's lifetime. Jobs are
+// never recycled: a stale scheduler event is a no-op only because no
+// later job can be the same pointer.
+func (m *Mac) newJob(dst phy.Addr) *txJob {
+	m.seq++
+	job := &txJob{frame: phy.Frame{Seq: m.seq, Dst: dst, Src: m.radio.Addr()}}
 	job.resumeFn = func() {
 		if m.inflight == job {
 			m.startCSMA()
@@ -266,16 +273,11 @@ func (m *Mac) Send(dst phy.Addr, payload []byte, done func(TxStatus)) {
 // radio's in-flight transmission, and the obs events of every backoff,
 // retry, and drop, but never appears in wire bytes.
 func (m *Mac) SendJID(dst phy.Addr, payload []byte, jid int64, done func(TxStatus)) {
-	m.seq++
-	f := &phy.Frame{
-		Type:       phy.FrameData,
-		Seq:        m.seq,
-		Dst:        dst,
-		Src:        m.radio.Addr(),
-		AckRequest: !dst.IsBroadcast(),
-		Payload:    payload,
-	}
-	job := m.newJob(f, done)
+	job := m.newJob(dst)
+	job.frame.Type = phy.FrameData
+	job.frame.AckRequest = !dst.IsBroadcast()
+	job.frame.Payload = payload
+	job.done = done
 	job.jid = jid
 	if m.sleepyChildren[dst] {
 		job.indirect = true
@@ -292,21 +294,13 @@ func (m *Mac) SendJID(dst phy.Addr, payload []byte, jid int64, done func(TxStatu
 // done receives the link outcome and whether the parent's ACK had the
 // frame-pending bit set.
 func (m *Mac) SendDataRequest(parent phy.Addr, done func(TxStatus, bool)) {
-	m.seq++
-	f := &phy.Frame{
-		Type:       phy.FrameCommand,
-		Seq:        m.seq,
-		Dst:        parent,
-		Src:        m.radio.Addr(),
-		Command:    phy.DataRequest,
-		AckRequest: true,
-	}
+	job := m.newJob(parent)
+	job.frame.Type = phy.FrameCommand
+	job.frame.Command = phy.DataRequest
+	job.frame.AckRequest = true
+	job.pollDone = done
 	m.Stats.DataReqSent++
-	m.enqueue(m.newJob(f, func(s TxStatus) {
-		if done != nil {
-			done(s, m.lastAckPending)
-		}
-	}))
+	m.enqueue(job)
 }
 
 // QueueLen returns the number of frames waiting (excluding indirect).
@@ -323,7 +317,9 @@ func (m *Mac) enqueue(job *txJob) {
 		// Indirect frames jump the queue: §9.5 improvement (1),
 		// "prioritized indirect messages over the current packet being
 		// sent" — here, over queued packets; an in-flight frame finishes.
-		m.queue = append([]*txJob{job}, m.queue...)
+		m.queue = append(m.queue, nil)
+		copy(m.queue[1:], m.queue)
+		m.queue[0] = job
 	} else {
 		m.queue = append(m.queue, job)
 	}
@@ -344,10 +340,9 @@ func (m *Mac) kick() {
 		}
 		return
 	}
-	m.inflight = m.queue[0]
-	m.queue = m.queue[1:]
-	m.inflight.attempts = 0
-	job := m.inflight
+	job := popFront(&m.queue)
+	m.inflight = job
+	job.attempts = 0
 	// Pay the SPI cost of moving the frame into the radio's frame buffer
 	// once; link retries reuse the buffer. The radio listens during the
 	// load, the CSMA backoff, and the CCA — the fix for deaf listening
@@ -485,6 +480,9 @@ func (m *Mac) finish(status TxStatus) {
 	if job.done != nil {
 		job.done(status)
 	}
+	if job.pollDone != nil {
+		job.pollDone(status, m.lastAckPending)
+	}
 	m.kick()
 }
 
@@ -574,10 +572,23 @@ func (m *Mac) serveDataRequest(child phy.Addr) {
 	if len(q) == 0 {
 		return
 	}
-	job := q[0]
-	m.indirectQ[child] = q[1:]
-	job.frame.FramePending = len(m.indirectQ[child]) > 0
+	job := popFront(&q)
+	m.indirectQ[child] = q
+	job.frame.FramePending = len(q) > 0
 	m.enqueue(job)
+}
+
+// popFront removes and returns the first job of a non-empty queue. The
+// rest shift down so the slice keeps its capacity: re-slicing from the
+// front would make the next append allocate, once per frame. MAC
+// queues are a few jobs deep (a node hands the MAC one frame at a
+// time), so the shift is cheap.
+func popFront(q *[]*txJob) *txJob {
+	job := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = nil
+	*q = (*q)[:n]
+	return job
 }
 
 func min(a, b int) int {

@@ -348,3 +348,41 @@ func TestCSMADefersToBusyChannel(t *testing.T) {
 		t.Fatal("drops despite carrier sensing")
 	}
 }
+
+// TestSleepPollAllocs pins the heap allocations of one empty poll cycle
+// of a sleepy child: poll → DataRequest → parent's ACK → completion,
+// until the next poll is scheduled.
+func TestSleepPollAllocs(t *testing.T) {
+	eng := sim.NewEngine(11)
+	ch := phy.NewChannel(eng, phy.NewUnitDisk(1.0, 1.0))
+	parentR := ch.AddRadio(0, phy.Point{X: 0})
+	childR := ch.AddRadio(1, phy.Point{X: 1})
+	parent := New(eng, parentR, DefaultParams())
+	child := New(eng, childR, DefaultParams())
+	parent.SetChildSleepy(childR.Addr(), true)
+	sc := NewSleepController(eng, child, parentR.Addr())
+	sc.SleepInterval = sim.Second
+	sc.Start()
+	cycle := func() {
+		for polls := sc.Polls; sc.Polls == polls; {
+			eng.Step()
+		}
+		for !sc.pollTimer.Armed() {
+			eng.Step()
+		}
+	}
+	for i := 0; i < 20; i++ { // warm the engine's event pool
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	if child.Stats.DataReqSent < 220 || sc.Wakeups != 0 {
+		t.Fatalf("polls sent %d, wakeups %d: not a run of empty polls", child.Stats.DataReqSent, sc.Wakeups)
+	}
+	// The job, its four scheduler callbacks, the encoded DataRequest and
+	// the parent's encoded ACK. The poll completion is bound once per
+	// controller, the frame lives inside the job, and the transmit queue
+	// keeps its capacity across pops.
+	if allocs > 7 {
+		t.Fatalf("allocs per poll cycle = %v, want at most 7", allocs)
+	}
+}

@@ -41,6 +41,8 @@ type SleepController struct {
 	pollTimer *sim.Timer
 	waitTimer *sim.Timer
 	started   bool
+	// pollDone is afterPoll bound once, so a poll allocates no closure.
+	pollDone func(TxStatus, bool)
 
 	// Polls counts data requests issued; Wakeups counts pending-bit
 	// windows entered.
@@ -61,6 +63,7 @@ func NewSleepController(eng *sim.Engine, m *Mac, parent phy.Addr) *SleepControll
 	}
 	sc.pollTimer = sim.NewTimer(eng, sc.poll)
 	sc.waitTimer = sim.NewTimer(eng, sc.wakeupTimeout)
+	sc.pollDone = sc.afterPoll
 	m.IdleListen = func() bool { return sc.awake }
 	return sc
 }
@@ -128,18 +131,16 @@ func (sc *SleepController) NotifyInbound() {
 
 func (sc *SleepController) poll() {
 	sc.Polls++
-	sc.mac.SendDataRequest(sc.parent, func(status TxStatus, pending bool) {
-		if status != TxOK {
-			// Poll lost; treat as an empty poll.
-			sc.afterEmptyPoll()
-			return
-		}
-		if pending {
-			sc.enterWakeup()
-			return
-		}
-		sc.afterEmptyPoll()
-	})
+	sc.mac.SendDataRequest(sc.parent, sc.pollDone)
+}
+
+// afterPoll completes a data request. A lost poll counts as an empty one.
+func (sc *SleepController) afterPoll(status TxStatus, pending bool) {
+	if status == TxOK && pending {
+		sc.enterWakeup()
+		return
+	}
+	sc.afterEmptyPoll()
 }
 
 func (sc *SleepController) afterEmptyPoll() {

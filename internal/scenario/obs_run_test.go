@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -178,5 +179,66 @@ func TestObsMetricsSampler(t *testing.T) {
 	}
 	if n != 4 { // 20 s window / 5 s period
 		t.Errorf("got %d metrics samples, want 4", n)
+	}
+}
+
+// TestTracedNDJSONByteIdentical: two traced runs of one (spec, seed)
+// write byte-identical NDJSON. The spec is a minute of 16 sleepy CoCoA
+// devices behind the gateway, where several partial datagrams at the
+// border router time out in the same reassembly pass; the test checks
+// that it still does, since that is where map order once leaked into
+// the trace.
+func TestTracedNDJSONByteIdentical(t *testing.T) {
+	specs, err := ParseSpecs([]byte(`{
+		"name": "ndjson-determinism",
+		"topology": {"kind": "star"},
+		"all_nodes": {"sleepy": true, "sleep_interval": "8s"},
+		"gateway": {"max_conns": 64, "wan": {"bandwidth_kbps": 8, "rtt": "100ms", "loss": 0.01, "queue_cap": 32}},
+		"flows": [{"label": "dev", "to": "gateway", "per_device": true, "pattern": "anemometer", "interval": "500ms"}],
+		"sweep": {"devices": [16], "protocols": ["cocoa"]},
+		"warmup": "0s", "duration": "1m", "seeds": [300773]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specs[0].Expand()[0]
+	trace := func() []byte {
+		var events bytes.Buffer
+		if _, err := RunOneObs(spec, 300773, &ObsConfig{Events: obs.NewNDJSONWriter(&events)}); err != nil {
+			t.Fatal(err)
+		}
+		return events.Bytes()
+	}
+	first, second := trace(), trace()
+	if !bytes.Equal(first, second) {
+		a, b := strings.Split(string(first), "\n"), strings.Split(string(second), "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("NDJSON differs at line %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("NDJSON differs in length: %d vs %d lines", len(a), len(b))
+	}
+	// Same-instant timeouts at one node: the case the check is about.
+	seen := map[string]int{}
+	same := 0
+	for _, line := range strings.Split(string(first), "\n") {
+		if !strings.Contains(line, `"kind":"frag_timeout"`) {
+			continue
+		}
+		var e struct {
+			Node int   `json:"node"`
+			T    int64 `json:"t_us"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprint(e.Node, "@", e.T)
+		if seen[key]++; seen[key] == 2 {
+			same++
+		}
+	}
+	if same == 0 {
+		t.Fatal("no two reassembly timeouts share a node and instant: the spec no longer exercises expiry order")
 	}
 }

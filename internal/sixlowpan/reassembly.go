@@ -1,6 +1,10 @@
 package sixlowpan
 
 import (
+	"bytes"
+	"cmp"
+	"slices"
+
 	"tcplp/internal/ip6"
 	"tcplp/internal/obs"
 	"tcplp/internal/phy"
@@ -40,6 +44,8 @@ type Reassembler struct {
 	freePartial []*partial
 	freeHave    [][]bool
 	freeBuf     [][]byte
+	// expired is expire's reusable scratch list of timed-out keys.
+	expired []partialKey
 
 	// TimedOut counts datagrams dropped for missing fragments.
 	TimedOut uint64
@@ -68,18 +74,37 @@ func (r *Reassembler) Pending() int {
 	return len(r.inflight)
 }
 
+// expire drops every partial datagram past its deadline. Map iteration
+// order is random, so the timed-out keys are sorted by (deadline,
+// source, tag) first: the FragTimeout events and the order buffers
+// return to the free lists are then the same on every run.
 func (r *Reassembler) expire() {
 	now := r.eng.Now()
+	exp := r.expired[:0]
 	for k, p := range r.inflight {
 		if now >= p.deadline {
-			delete(r.inflight, k)
-			r.TimedOut++
-			if tr := r.Trace; tr != nil {
-				tr.Emit(obs.Event{T: now, Kind: obs.FragTimeout, Node: r.Node, A: int64(k.tag), J: p.jid, Cause: obs.CauseReassemblyTimeout})
-			}
-			r.release(p, true)
+			exp = append(exp, k)
 		}
 	}
+	slices.SortFunc(exp, func(a, b partialKey) int {
+		if c := cmp.Compare(r.inflight[a].deadline, r.inflight[b].deadline); c != 0 {
+			return c
+		}
+		if c := bytes.Compare(a.src[:], b.src[:]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.tag, b.tag)
+	})
+	for _, k := range exp {
+		p := r.inflight[k]
+		delete(r.inflight, k)
+		r.TimedOut++
+		if tr := r.Trace; tr != nil {
+			tr.Emit(obs.Event{T: now, Kind: obs.FragTimeout, Node: r.Node, A: int64(k.tag), J: p.jid, Cause: obs.CauseReassemblyTimeout})
+		}
+		r.release(p, true)
+	}
+	r.expired = exp[:0]
 }
 
 // popPartial recycles a partial descriptor (or allocates one).

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tcplp/internal/ip6"
+	"tcplp/internal/obs"
 	"tcplp/internal/phy"
 	"tcplp/internal/sim"
 )
@@ -345,5 +346,53 @@ func TestQuickIPHCRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+type eventLog []obs.Event
+
+func (l *eventLog) Record(e obs.Event) { *l = append(*l, e) }
+
+// TestReassemblyExpiryOrder: partials that time out in one expiry pass
+// are dropped in (deadline, source, tag) order, whatever the map's
+// iteration order, so traced runs emit their FragTimeout events the
+// same way every time.
+func TestReassemblyExpiryOrder(t *testing.T) {
+	eng := sim.NewEngine(1)
+	r := NewReassembler(eng)
+	var got eventLog
+	r.Trace = obs.NewTrace()
+	r.Trace.AddSink(&got)
+	r.Node = 4
+	var f Fragmenter
+	frag1 := func(src int, tag uint16, jid int64) {
+		frags := f.Fragment(CompressHeader(meshHeader(src, 4)), make([]byte, 300), phy.MaxMACPayload)
+		if err := RewriteTag(frags[0], tag); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Input(phy.AddrFromID(src), frags[0], jid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frag1(3, 9, 1)
+	frag1(1, 7, 2)
+	frag1(1, 4, 3)
+	frag1(2, 8, 4)
+	eng.RunFor(sim.Second)
+	frag1(0, 5, 5)
+	frag1(3, 9, 1) // a later fragment pushes (3, 9)'s deadline back
+	eng.RunFor(DefaultReassemblyTimeout)
+	if n := r.Pending(); n != 0 || r.TimedOut != 5 {
+		t.Fatalf("pending %d, timed out %d, want 0 and 5", n, r.TimedOut)
+	}
+	// Deadline 10 s: (1,4), (1,7), (2,8); deadline 11 s: (0,5), (3,9).
+	want := []int64{3, 2, 4, 5, 1}
+	if len(got) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i, e := range got {
+		if e.Kind != obs.FragTimeout || e.Node != 4 || e.T != eng.Now() || e.J != want[i] {
+			t.Fatalf("event %d = %+v, want a FragTimeout of journey %d at node 4, t=%v", i, e, want[i], eng.Now())
+		}
 	}
 }
