@@ -72,7 +72,6 @@ func main() {
 		delivThr = flag.Float64("flight-threshold", 0.5, "attach the flight recorder with this end-of-run delivery-ratio dump threshold (0 disables; scenario runs)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after GC) to this file")
-		phyWork  = flag.Int("phy-workers", -1, "default PHY fan-out worker bound: 0 serial, N>0 parallel, -1 keeps the built-in default; specs with phy_workers set keep their own value")
 	)
 	flag.Parse()
 	// The flight recorder is attached only on request: its stall checker
@@ -112,11 +111,6 @@ func main() {
 			}
 		}()
 	}
-	if *phyWork >= 0 {
-		stack.DefaultPhyWorkers = *phyWork
-		fmt.Fprintf(os.Stderr, "phy fan-out workers: %d\n", *phyWork)
-	}
-
 	if *variant != "" {
 		v, err := cc.Parse(*variant)
 		if err != nil {

@@ -138,11 +138,6 @@ type Channel struct {
 	grid   *gridIndex
 	txFree *transmission
 
-	// fan-out parallelism (see parallel.go): workers is the bound set by
-	// SetWorkers, prep the reusable per-receiver scratch for endTx.
-	workers int
-	prep    []rxPrep
-
 	// PER returns the probability that a frame from src to dst is
 	// corrupted despite no collision. Nil means a perfect channel.
 	PER func(src, dst *Radio) float64
@@ -260,22 +255,18 @@ func (c *Channel) beginTx(sender *Radio, data []byte, air sim.Duration) {
 	if c.grid != nil {
 		nbrs := c.grid.neighbors(sender)
 		t.nbrs = nbrs
-		if c.workers > 0 && len(nbrs) >= MinParallelFanout {
-			c.beginTxParallel(sender, t, nbrs)
-		} else {
-			for _, nb := range nbrs {
-				r := nb.r
-				r.sensedCount++
-				switch r.state {
-				case StateRx:
-					r.interfered()
-				case StateListen:
-					// sensedCount == 1 means t is the only energy at r (a
-					// radio's own frames never count toward its own sensing),
-					// matching the brute-force otherEnergyAt check.
-					if !sender.NoiseOnly && nb.connected && r.sensedCount == 1 {
-						r.beginRx(t)
-					}
+		for _, nb := range nbrs {
+			r := nb.r
+			r.sensedCount++
+			switch r.state {
+			case StateRx:
+				r.interfered()
+			case StateListen:
+				// sensedCount == 1 means t is the only energy at r (a
+				// radio's own frames never count toward its own sensing),
+				// matching the brute-force otherEnergyAt check.
+				if !sender.NoiseOnly && nb.connected && r.sensedCount == 1 {
+					r.beginRx(t)
 				}
 			}
 		}
@@ -328,23 +319,19 @@ func (c *Channel) endTx(t *transmission) {
 		}
 	}
 	if t.nbrs != nil {
-		if c.workers > 0 && len(t.nbrs) >= MinParallelFanout {
-			c.endTxParallel(t, t.nbrs)
-		} else {
-			// Drop t's energy everywhere before delivering: reception
-			// callbacks may run CCAs.
-			for _, nb := range t.nbrs {
-				nb.r.sensedCount--
-			}
-			for _, nb := range t.nbrs {
-				r := nb.r
-				if r.rx == t {
-					per := 0.0
-					if c.PER != nil {
-						per = c.PER(t.sender, r)
-					}
-					r.endRx(t, per)
+		// Drop t's energy everywhere before delivering: reception
+		// callbacks may run CCAs.
+		for _, nb := range t.nbrs {
+			nb.r.sensedCount--
+		}
+		for _, nb := range t.nbrs {
+			r := nb.r
+			if r.rx == t {
+				per := 0.0
+				if c.PER != nil {
+					per = c.PER(t.sender, r)
 				}
+				r.endRx(t, per)
 			}
 		}
 	} else {

@@ -16,7 +16,7 @@ import (
 // each radio's sent/received/dropped counters. The per-link PER draw
 // consumes the shared engine RNG, so the trace also proves the delivery
 // *iteration order* matches — any reordering desynchronizes the stream.
-func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool, workers int) string {
+func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool) string {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
@@ -25,7 +25,6 @@ func phyTrace(t *testing.T, topo mesh.Topology, seed int64, brute bool, workers 
 	} else if !ch.Indexed() {
 		t.Fatal("unit-disk channel did not build a spatial index")
 	}
-	ch.SetWorkers(workers)
 	ch.PER = func(src, dst *phy.Radio) float64 { return 0.05 }
 	var trace strings.Builder
 	radios := make([]*phy.Radio, topo.N())
@@ -69,8 +68,8 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 	}
 	for name, topo := range topos {
 		for seed := int64(1); seed <= 3; seed++ {
-			grid := phyTrace(t, topo, seed, false, 0)
-			brute := phyTrace(t, topo, seed, true, 0)
+			grid := phyTrace(t, topo, seed, false)
+			brute := phyTrace(t, topo, seed, true)
 			if grid != brute {
 				gl, bl := strings.Split(grid, "\n"), strings.Split(brute, "\n")
 				for i := 0; i < len(gl) && i < len(bl); i++ {
@@ -80,41 +79,6 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 					}
 				}
 				t.Fatalf("%s seed %d: trace lengths differ (%d vs %d lines)", name, seed, len(gl), len(bl))
-			}
-		}
-	}
-}
-
-// TestParallelFanoutMatchesSerial is the worker-pool equivalence
-// regression: with MinParallelFanout forced to 1 so every fan-out takes
-// the parallel path even on small neighbor sets, the delivery and
-// collision traces — including the RNG-consuming per-link loss draws —
-// must be bit-identical to the serial engine-thread path.
-func TestParallelFanoutMatchesSerial(t *testing.T) {
-	old := phy.MinParallelFanout
-	phy.MinParallelFanout = 1
-	defer func() { phy.MinParallelFanout = old }()
-	topos := map[string]mesh.Topology{
-		"office":   mesh.Office(),
-		"twinleaf": mesh.TwinLeaf(4, 20),
-		"random":   mesh.RandomGeometric(150, 8, 5),
-	}
-	for name, topo := range topos {
-		for seed := int64(1); seed <= 3; seed++ {
-			serial := phyTrace(t, topo, seed, false, 0)
-			for _, workers := range []int{1, 4} {
-				par := phyTrace(t, topo, seed, false, workers)
-				if par != serial {
-					sl, pl := strings.Split(serial, "\n"), strings.Split(par, "\n")
-					for i := 0; i < len(sl) && i < len(pl); i++ {
-						if sl[i] != pl[i] {
-							t.Fatalf("%s seed %d workers %d: traces diverge at line %d:\n  serial:   %s\n  parallel: %s",
-								name, seed, workers, i, sl[i], pl[i])
-						}
-					}
-					t.Fatalf("%s seed %d workers %d: trace lengths differ (%d vs %d lines)",
-						name, seed, workers, len(sl), len(pl))
-				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -149,4 +150,36 @@ func TestAddrFromID(t *testing.T) {
 	if AddrFromID(3).IsBroadcast() {
 		t.Fatal("unicast address claimed broadcast")
 	}
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to the receive-path decoder: it
+// must never panic, the payload must alias no more than the input, and
+// any frame that decodes must survive Encode and a second decode with
+// every field intact.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add((&Frame{Type: FrameData, Seq: 42, PAN: 0xface, Dst: AddrFromID(7), Src: AddrFromID(3),
+		AckRequest: true, Payload: []byte("hello 6lowpan")}).Encode())
+	f.Add(AckFor(99, true).Encode())
+	f.Add((&Frame{Type: FrameCommand, Seq: 1, Dst: AddrFromID(0), Src: AddrFromID(5),
+		Command: DataRequest, AckRequest: true}).Encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var g Frame
+		if DecodeFrameInto(&g, b) != nil {
+			return
+		}
+		if len(g.Payload) > len(b) {
+			t.Fatalf("payload of %d bytes from a %d-byte input", len(g.Payload), len(b))
+		}
+		var h Frame
+		if err := DecodeFrameInto(&h, g.Encode()); err != nil {
+			t.Fatalf("re-decode of %+v: %v", g, err)
+		}
+		if !bytes.Equal(g.Payload, h.Payload) {
+			t.Fatalf("payload changed: %x vs %x", g.Payload, h.Payload)
+		}
+		g.Payload, h.Payload = nil, nil
+		if !reflect.DeepEqual(g, h) {
+			t.Fatalf("fields changed: %+v vs %+v", g, h)
+		}
+	})
 }

@@ -262,45 +262,34 @@ func (r *Radio) interfered() {
 	}
 }
 
+// endRx is the reception epilogue: state transitions, the loss draw,
+// tracing, and delivery of t's bytes through the receive buffer.
 func (r *Radio) endRx(t *transmission, per float64) {
 	if r.rx != t {
 		return
 	}
 	corrupted := r.rxCorrupted
-	n := 0
-	if !corrupted && r.OnReceive != nil {
-		n = copy(r.rxBuf[:], t.data)
-	}
-	r.finishRx(per, corrupted, n, len(t.data), t.jid)
-}
-
-// finishRx is the reception epilogue: state transitions, the loss draw,
-// tracing, and delivery. The receive buffer already holds the frame (n
-// bytes) when the reception is clean. It runs only on the engine thread
-// — it consumes the engine RNG — while the pure prefix (the PER
-// computation and the buffer copy) may have run on a fan-out worker
-// (see Channel.SetWorkers).
-func (r *Radio) finishRx(per float64, corrupted bool, n, frameLen int, jid int64) {
 	r.rx = nil
 	r.rxCorrupted = false
 	r.setState(StateListen)
 	if corrupted {
 		r.rxDropped++
 		if tr := r.ch.Trace; tr != nil {
-			tr.Emit(obs.Event{T: r.eng.Now(), Kind: obs.PhyCollision, Node: r.id, Len: frameLen, J: jid, Cause: obs.CauseCollision})
+			tr.Emit(obs.Event{T: r.eng.Now(), Kind: obs.PhyCollision, Node: r.id, Len: len(t.data), J: t.jid, Cause: obs.CauseCollision})
 		}
 		return
 	}
 	if per > 0 && r.eng.Rand().Float64() < per {
 		r.rxDropped++
 		if tr := r.ch.Trace; tr != nil {
-			tr.Emit(obs.Event{T: r.eng.Now(), Kind: obs.PhyRxDrop, Node: r.id, A: 1, Len: frameLen, J: jid, Cause: obs.CausePER})
+			tr.Emit(obs.Event{T: r.eng.Now(), Kind: obs.PhyRxDrop, Node: r.id, A: 1, Len: len(t.data), J: t.jid, Cause: obs.CausePER})
 		}
 		return
 	}
 	r.framesRecv++
 	if r.OnReceive != nil {
-		r.RxJID = jid
+		n := copy(r.rxBuf[:], t.data)
+		r.RxJID = t.jid
 		r.OnReceive(r.rxBuf[:n])
 		r.RxJID = 0
 	}

@@ -69,9 +69,6 @@ func (s *Spec) options() stack.Options {
 	if n.WireDelay > 0 {
 		opt.WireDelay = n.WireDelay.D()
 	}
-	if n.PhyWorkers > 0 {
-		opt.PhyWorkers = n.PhyWorkers
-	}
 	return opt
 }
 

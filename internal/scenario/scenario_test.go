@@ -392,14 +392,17 @@ func TestParseSpecsErrors(t *testing.T) {
 // NewReno in place of the intended CUBIC), in both file forms and
 // inside nested blocks.
 func TestParseSpecsRejectsUnknownKeys(t *testing.T) {
-	for _, in := range []string{
-		`{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"varient":"cubic"}]}`,
-		`[{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"varient":"cubic"}]}]`,
-		`{"flows":[{"varient":"cubic"}]}`,
+	for _, tc := range []struct{ in, key string }{
+		{`{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"varient":"cubic"}]}`, "varient"},
+		{`[{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"varient":"cubic"}]}]`, "varient"},
+		{`{"flows":[{"varient":"cubic"}]}`, "varient"},
+		// A retired key: a spec written for an older build must fail
+		// loudly rather than have its setting silently ignored.
+		{`{"net":{"phy_workers":4}}`, "phy_workers"},
 	} {
-		_, err := ParseSpecs([]byte(in))
-		if err == nil || !strings.Contains(err.Error(), `"varient"`) {
-			t.Errorf("%s: err = %v, want an unknown-field error naming \"varient\"", in, err)
+		_, err := ParseSpecs([]byte(tc.in))
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming %q", tc.in, err, tc.key)
 		}
 	}
 	good := `{"name":"x","topology":{"kind":"chain","nodes":2},"flows":[{"from":1,"to":0,"variant":"cubic"}]}`

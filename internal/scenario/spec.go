@@ -212,11 +212,6 @@ type NetSpec struct {
 	// Interference places the §9.5 diurnal interferers with this peak
 	// relative activity (0 disables them; the paper uses 1).
 	Interference float64 `json:"interference,omitempty"`
-	// PhyWorkers bounds the deterministic PHY fan-out worker pool for
-	// very dense topologies: 0 (default) is the serial reference path,
-	// N > 0 allows up to N goroutines per fan-out. Results are
-	// bit-identical at any setting; this only buys wall-clock time.
-	PhyWorkers int `json:"phy_workers,omitempty"`
 }
 
 // NodeSpec assigns a duty-cycle role to one mesh node.
@@ -1168,9 +1163,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Net.Interference < 0 {
 		return bad("negative interference peak")
-	}
-	if s.Net.PhyWorkers < 0 {
-		return bad("negative phy_workers")
 	}
 	if s.Net.RetryDelay != nil && *s.Net.RetryDelay < 0 {
 		return bad("negative retry_delay")

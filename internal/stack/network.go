@@ -29,12 +29,6 @@ var DefaultVariant = cc.NewReno
 // windows (≥ 8 segments) without touching each experiment.
 var DefaultWindowSegs = 4
 
-// DefaultPhyWorkers is the PHY fan-out worker bound DefaultOptions
-// seeds (0 = serial). cmd/tcplp-bench's -phy-workers flag overrides it
-// process-wide; runs are bit-identical at any setting, so this is purely
-// a wall-clock knob for very dense topologies.
-var DefaultPhyWorkers = 0
-
 // Options configures a simulated network.
 type Options struct {
 	// MAC holds the CSMA/ARQ parameters, including the §7.1 link-retry
@@ -72,11 +66,6 @@ type Options struct {
 	// every layer of every node (phy, MAC, 6LoWPAN, IP queue, TCP).
 	// Nil — the default — keeps every hook a single nil check.
 	Trace *obs.Trace
-	// PhyWorkers bounds the channel's deterministic fan-out worker pool
-	// (phy.Channel.SetWorkers): 0 keeps the serial reference path, N > 0
-	// splits large transmission fan-outs across up to N goroutines with
-	// Result bit-identical either way.
-	PhyWorkers int
 }
 
 // DefaultOptions mirrors the paper's standard setup. QueueCap is sized
@@ -92,7 +81,6 @@ func DefaultOptions() Options {
 		WindowSegs: DefaultWindowSegs,
 		QueueCap:   32,
 		WireDelay:  6 * sim.Millisecond,
-		PhyWorkers: DefaultPhyWorkers,
 	}
 }
 
@@ -125,7 +113,6 @@ func New(seed int64, topo mesh.Topology, opt Options) *Network {
 	eng := sim.NewEngine(seed)
 	ch := phy.NewChannel(eng, phy.NewUnitDisk(topo.TxRange, topo.SenseRange))
 	ch.Trace = opt.Trace
-	ch.SetWorkers(opt.PhyWorkers)
 	if opt.PER > 0 {
 		per := opt.PER
 		ch.PER = func(src, dst *phy.Radio) float64 { return per }

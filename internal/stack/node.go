@@ -84,6 +84,9 @@ type Node struct {
 
 	outQ    []*outItem
 	sending bool
+	// frameSentFn is frameSent bound on the first send, so handing a
+	// frame to the MAC allocates no completion.
+	frameSentFn func(mac.TxStatus)
 
 	red      *mesh.RED
 	fwdCache map[fwdKey]*fwdEntry
@@ -222,27 +225,34 @@ func (n *Node) pump() {
 	}
 	n.sending = true
 	it := n.outQ[0]
-	frame := it.frames[it.idx]
 	n.CPU.ChargeFrameTx()
-	n.Mac.SendJID(it.next, frame, it.jid, func(status mac.TxStatus) {
-		if status != mac.TxOK {
-			n.Stats.LinkFailures++
-			// Abandoning the datagram: the sent frame and the never-sent
-			// tail all go back to the pool.
-			n.releaseFrames(it, it.idx)
-			n.popAndContinue()
-			return
-		}
-		n.frag.Release(frame)
-		it.frames[it.idx] = nil
-		it.idx++
-		if it.idx >= len(it.frames) {
-			n.popAndContinue()
-			return
-		}
-		n.sending = false
-		n.pump()
-	})
+	if n.frameSentFn == nil {
+		n.frameSentFn = n.frameSent
+	}
+	n.Mac.SendJID(it.next, it.frames[it.idx], it.jid, n.frameSentFn)
+}
+
+// frameSent is the MAC completion for the frame in flight. n.sending
+// keeps that frame at the head of outQ, at frames[idx], until it fires.
+func (n *Node) frameSent(status mac.TxStatus) {
+	it := n.outQ[0]
+	if status != mac.TxOK {
+		n.Stats.LinkFailures++
+		// Abandoning the datagram: the sent frame and the never-sent
+		// tail all go back to the pool.
+		n.releaseFrames(it, it.idx)
+		n.popAndContinue()
+		return
+	}
+	n.frag.Release(it.frames[it.idx])
+	it.frames[it.idx] = nil
+	it.idx++
+	if it.idx >= len(it.frames) {
+		n.popAndContinue()
+		return
+	}
+	n.sending = false
+	n.pump()
 }
 
 func (n *Node) popAndContinue() {

@@ -409,3 +409,37 @@ func TestRoutesChain(t *testing.T) {
 		t.Fatalf("parent = %d %v", p, ok)
 	}
 }
+
+// TestDatagramSendAllocs pins the allocation cost of pushing one
+// multi-frame datagram across a hop. The MAC completion that drains the
+// node's transmit queue is bound once per node, so handing each
+// fragment to the link layer allocates nothing at the stack layer.
+func TestDatagramSendAllocs(t *testing.T) {
+	net := New(1, mesh.Chain(2, 10), DefaultOptions())
+	src, dst := net.Nodes[1], net.Nodes[0]
+	got := 0
+	dst.UDP.Bind(5683, func(_ ip6.Addr, _ uint16, _ []byte) { got++ })
+	payload := make([]byte, 300)
+	send := func() {
+		src.UDP.Send(dst.Addr, 5683, 5683, payload)
+		net.Eng.Run()
+	}
+	for i := 0; i < 10; i++ { // warm pools, queues and lazy state
+		send()
+	}
+	frames0 := src.Mac.Stats.DataSent
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, send)
+	frames := float64(src.Mac.Stats.DataSent-frames0) / (runs + 1)
+	if got != 10+runs+1 {
+		t.Fatalf("delivered %d datagrams, want %d", got, 10+runs+1)
+	}
+	if frames != 4 {
+		t.Fatalf("%.2f frames per datagram, want 4", frames)
+	}
+	// Measured 41 with the completion bound once per node; a closure per
+	// frame handed to the MAC costs 4 more.
+	if allocs > 41 {
+		t.Fatalf("allocs per 4-frame datagram = %v, want at most 41", allocs)
+	}
+}
